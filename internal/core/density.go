@@ -94,7 +94,7 @@ func PrivateHistogramDensityCtx(ctx context.Context, d *dataset.Dataset, j, bins
 		Outcomes:    bins,
 		Span:        sp.ID(),
 		Trace:       sp.TraceID(),
-		Charge:      mechanism.ChargeScopeFrom(ctx),
+		Charges:     mechanism.ChargesFrom(ctx),
 	})
 	var total float64
 	for i, v := range noisy {
@@ -207,7 +207,7 @@ func GibbsHistogramDensityCtx(ctx context.Context, d *dataset.Dataset, j int, bi
 		Outcomes:    len(cands),
 		Span:        sp.ID(),
 		Trace:       sp.TraceID(),
-		Charge:      mechanism.ChargeScopeFrom(ctx),
+		Charges:     mechanism.ChargesFrom(ctx),
 	})
 	return cands[idx], binChoices[idx], nil
 }

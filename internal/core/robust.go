@@ -177,7 +177,7 @@ func (l *Learner) FitPolicyCtx(ctx context.Context, d *dataset.Dataset, g *rng.R
 		Duration:    o.Now() - start,
 		Span:        sp.ID(),
 		Trace:       sp.TraceID(),
-		Charge:      mechanism.ChargeScopeFrom(ctx),
+		Charges:     mechanism.ChargesFrom(ctx),
 	})
 	cert, err := l.certificateCtx(ctx, est, d)
 	if err != nil {

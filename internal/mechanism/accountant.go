@@ -32,12 +32,12 @@ type SpendMeta struct {
 	// spend back to the exact request — across the access log, the span
 	// tree, and the ledger — in per-request ε attribution.
 	Trace string
-	// Charge is the durable-charge scope id of the request the spend
-	// belongs to ("" outside any write-ahead-logged request). The serve
-	// layer stamps it via WithChargeScope so every guarantee a facade
-	// call commits — however it recomputes ε internally — is collected
-	// onto the request's WAL commit record exactly.
-	Charge string
+	// Charges is the charge collector of the request the spend belongs
+	// to (nil outside any collecting request; see WithCharges). The
+	// accountant deposits the committed record into it and clears the
+	// field before storing the record, so neither the spend history nor
+	// the observer retains per-request state.
+	Charges *Charges
 }
 
 // SpendRecord is one accounted release: the guarantee, its metadata,
@@ -106,8 +106,18 @@ func (a *Accountant) SpendDetail(g Guarantee, meta SpendMeta) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.recordLocked(g, meta)
+}
+
+// recordLocked appends one spend with the next sequence number, hands
+// it to the request's charge collector, if any, and forwards it to the
+// observer. Caller holds a.mu.
+func (a *Accountant) recordLocked(g Guarantee, meta SpendMeta) {
+	charges := meta.Charges
+	meta.Charges = nil
 	rec := SpendRecord{Seq: uint64(len(a.spent)), Guarantee: g, Meta: meta}
 	a.spent = append(a.spent, rec)
+	charges.add(rec)
 	if a.observer != nil {
 		a.observer(rec)
 	}
@@ -221,15 +231,4 @@ func ParallelComposition(gs []Guarantee) Guarantee {
 		}
 	}
 	return out
-}
-
-// Reset clears the accountant (the observer stays installed; sequence
-// numbers restart from zero).
-func (a *Accountant) Reset() {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.spent = a.spent[:0]
 }

@@ -62,17 +62,6 @@ func (a *Accountant) SetBudget(g Guarantee) error {
 	return nil
 }
 
-// ClearBudget removes the budget; Reserve admits everything again.
-func (a *Accountant) ClearBudget() {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.budget = Guarantee{}
-	a.hasBudget = false
-}
-
 // Budget returns the configured budget and whether one is set.
 func (a *Accountant) Budget() (Guarantee, bool) {
 	if a == nil {
@@ -190,8 +179,8 @@ func (r *Reservation) Amount() Guarantee {
 
 // Commit converts the hold into a recorded spend: the reservation is
 // removed from the outstanding set and a SpendRecord with the next
-// sequence number is appended and forwarded to the observer, exactly as
-// SpendDetail would. Committing a released reservation or committing
+// sequence number is appended and forwarded to meta's charge collector
+// and the observer, exactly as SpendDetail would. Committing a released reservation or committing
 // twice is an API-misuse panic — it would double-charge the ledger.
 // On a nil reservation Commit is a no-op.
 func (r *Reservation) Commit(meta SpendMeta) {
@@ -211,11 +200,7 @@ func (r *Reservation) Commit(meta SpendMeta) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.dropReservationLocked(r)
-	rec := SpendRecord{Seq: uint64(len(a.spent)), Guarantee: r.g, Meta: meta}
-	a.spent = append(a.spent, rec)
-	if a.observer != nil {
-		a.observer(rec)
-	}
+	a.recordLocked(r.g, meta)
 }
 
 // Release abandons the hold, returning its headroom to the budget with

@@ -198,10 +198,6 @@ func TestSetBudgetValidation(t *testing.T) {
 	if g, ok := a.Budget(); !ok || g.Epsilon != 2 {
 		t.Fatalf("Budget = %+v, %v", g, ok)
 	}
-	a.ClearBudget()
-	if _, ok := a.Budget(); ok {
-		t.Fatal("ClearBudget left a budget")
-	}
 }
 
 // TestReservePanicPathReleases simulates the chaos scenario from the

@@ -377,10 +377,6 @@ func TestAccountantBasic(t *testing.T) {
 	if a.Count() != 2 {
 		t.Error("Count")
 	}
-	a.Reset()
-	if a.Count() != 0 || a.BasicComposition().Epsilon != 0 {
-		t.Error("Reset")
-	}
 }
 
 func TestAccountantAdvanced(t *testing.T) {

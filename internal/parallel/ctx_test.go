@@ -23,13 +23,13 @@ func TestForCtxCompletesLikeFor(t *testing.T) {
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("workers=%d: SumCtx %v != Sum %v", workers, got, want)
 		}
-		m, err := MapCtx(context.Background(), n, Options{Workers: workers}, term)
+		m, err := MapGrainCtx(context.Background(), n, minChunk, Options{Workers: workers}, term)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		for i := range m {
 			if math.Float64bits(m[i]) != math.Float64bits(term(i)) {
-				t.Fatalf("workers=%d: MapCtx slot %d differs", workers, i)
+				t.Fatalf("workers=%d: MapGrainCtx slot %d differs", workers, i)
 			}
 		}
 	}
@@ -42,7 +42,7 @@ func TestForCtxPreCanceled(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int64
-		err := ForCtx(ctx, 1_000_000, Options{Workers: workers}, func(lo, hi int) {
+		err := ForGrainCtx(ctx, 1_000_000, minChunk, Options{Workers: workers}, func(lo, hi int) {
 			ran.Add(1)
 		})
 		if !errors.Is(err, context.Canceled) {
@@ -147,7 +147,7 @@ func TestForGrainRepanicsOnCaller(t *testing.T) {
 // TestSumCtxDiscardsOnError pins that a canceled or faulted reduction
 // returns the zero value, never a partial sum.
 func TestSumCtxDiscardsOnError(t *testing.T) {
-	got, err := SumGrainCtx(context.Background(), 10_000, 256, Options{Workers: 2}, func(i int) float64 {
+	got, err := SumCtx(context.Background(), 10_000, Options{Workers: 2}, func(i int) float64 {
 		if i == 5000 {
 			panic("faulted term")
 		}

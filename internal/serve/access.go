@@ -2,9 +2,9 @@ package serve
 
 import (
 	"context"
-	"sync"
 
 	"repro/internal/mechanism"
+	"repro/internal/obs"
 )
 
 // accessInfo is the per-request scratchpad behind one access-log line.
@@ -17,7 +17,6 @@ import (
 type accessInfo struct {
 	tenant  string
 	quoted  float64
-	spent   float64
 	outcome string
 	idemKey string
 }
@@ -49,15 +48,6 @@ func (ai *accessInfo) setQuoted(eps float64) {
 	}
 }
 
-// setSpent records a handler-side estimate of the committed ε. When the
-// request carried a traceparent, the middleware overrides it with the
-// exact tally the accountant observers accumulated under the trace id.
-func (ai *accessInfo) setSpent(eps float64) {
-	if ai != nil {
-		ai.spent = eps
-	}
-}
-
 func (ai *accessInfo) setOutcome(o string) {
 	if ai != nil {
 		ai.outcome = o
@@ -70,61 +60,17 @@ func (ai *accessInfo) setIdemKey(k string) {
 	}
 }
 
-// traceSpends tallies the ε committed under each in-flight trace id.
-// The tracing middleware registers a request's trace id before the
-// handler runs; every accountant spend observer adds the committed
-// guarantee under the spend's Meta.Trace; the middleware collects the
-// tally when the response is written. This is how the access log's
-// spent_epsilon is exact — it is the sum of the very guarantees the
-// accountant composed, keyed by the trace id that joins them — rather
-// than a handler-side estimate.
-type traceSpends struct {
-	mu sync.Mutex
-	m  map[string]*traceTally
-}
-
-type traceTally struct{ eps, del float64 }
-
-func newTraceSpends() *traceSpends {
-	return &traceSpends{m: make(map[string]*traceTally)}
-}
-
-// begin registers trace as in-flight (nil-safe; "" is ignored).
-func (ts *traceSpends) begin(trace string) {
-	if ts == nil || trace == "" {
-		return
+// spentEpsilon is the canonical composition of the guarantees the
+// request committed, read from its charge collector: the very records
+// the accountant composed, so the access log's spent_epsilon joins the
+// ledger bit for bit whether or not the request was traced.
+func spentEpsilon(c *mechanism.Charges) float64 {
+	recs := c.Records()
+	eps := make([]float64, len(recs))
+	del := make([]float64, len(recs))
+	for i, r := range recs {
+		eps[i], del[i] = r.Guarantee.Epsilon, r.Guarantee.Delta
 	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	ts.m[trace] = &traceTally{}
-}
-
-// add accumulates one committed guarantee under trace. Unregistered
-// traces are ignored, so spends outside the request middleware (tests
-// driving a tenant directly) never leak tallies.
-func (ts *traceSpends) add(trace string, g mechanism.Guarantee) {
-	if ts == nil || trace == "" {
-		return
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if t, ok := ts.m[trace]; ok {
-		t.eps += g.Epsilon
-		t.del += g.Delta
-	}
-}
-
-// take removes trace's tally and returns its committed ε.
-func (ts *traceSpends) take(trace string) (eps float64, ok bool) {
-	if ts == nil || trace == "" {
-		return 0, false
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	t, found := ts.m[trace]
-	delete(ts.m, trace)
-	if !found {
-		return 0, false
-	}
-	return t.eps, true
+	e, _ := obs.ComposeBasic(eps, del)
+	return e
 }

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"os"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -81,11 +82,12 @@ type Config struct {
 	// reservation outcome, and duration. Nil disables access logging.
 	AccessLog *obs.AccessLog
 	// WALDir, when set, attaches a write-ahead privacy ledger per tenant
-	// under this directory (<id>.wal): budget state becomes
-	// crash-recoverable (New replays surviving logs and rebuilds each
-	// accountant bit-identically before serving) and idempotency-keyed
-	// responses replay across restarts. Empty disables durability; the
-	// request flow is identical either way.
+	// under this directory (<id>.wal; New creates the directory if it is
+	// missing): budget state becomes crash-recoverable (New replays
+	// surviving logs and rebuilds each accountant bit-identically before
+	// serving) and idempotency-keyed responses replay across restarts.
+	// Empty disables durability; the request flow is identical either
+	// way.
 	WALDir string
 }
 
@@ -103,13 +105,6 @@ type Server struct {
 	inflight *obs.Gauge
 	panics   *obs.Counter
 
-	// spends tallies committed ε per in-flight trace id so the access
-	// log's spent_epsilon is the exact sum the accountant composed.
-	spends *traceSpends
-	// charges tallies the exact committed guarantees per in-flight
-	// durable request, so a WAL commit record carries precisely what the
-	// accountant composed (see chargeSpends).
-	charges *chargeSpends
 	// recovery holds the per-tenant WAL recovery summaries from boot.
 	recovery []RecoveryReport
 	// startWall anchors the wall-clock burn-rate estimate behind the
@@ -135,15 +130,15 @@ func New(cfg Config) (*Server, error) {
 		cfg.RetryAfterSeconds = 1
 	}
 	spec := cfg.Learner.withDefaults()
-	spends := newTraceSpends()
-	charges := newChargeSpends()
-	reg, err := newRegistry(cfg.Tenants, spec, cfg.Observer, cfg.Workers, spends, charges)
+	reg, err := newRegistry(cfg.Tenants, spec, cfg.Observer, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, spec: spec, reg: reg, obs: cfg.Observer,
-		spends: spends, charges: charges, startWall: time.Now()}
+	s := &Server{cfg: cfg, spec: spec, reg: reg, obs: cfg.Observer, startWall: time.Now()}
 	if cfg.WALDir != "" {
+		if err := os.MkdirAll(cfg.WALDir, 0o755); err != nil {
+			return nil, fmt.Errorf("serve: WAL directory: %w", err)
+		}
 		// Recovery before traffic: replay each tenant's surviving WAL,
 		// rebuild its accountant bit-identically (verified against
 		// ComposeBasic), settle stranded reserves, restore idempotency
@@ -253,11 +248,9 @@ func (s *Server) instrument(endpoint, method string, h http.HandlerFunc) http.Ha
 		sp := s.obs.RequestSpan(endpoint, tc)
 		sp.SetAttr("endpoint", endpoint)
 		ai := &accessInfo{}
+		charges := &mechanism.Charges{}
 		ctx := withAccessInfo(obs.ContextWithSpan(r.Context(), sp), ai)
-		r = r.WithContext(ctx)
-		if tc.Valid() {
-			s.spends.begin(tc.TraceID())
-		}
+		r = r.WithContext(mechanism.WithCharges(ctx, charges))
 		start := s.obs.Now()
 		s.inflight.Add(1)
 		defer func() {
@@ -272,10 +265,6 @@ func (s *Server) instrument(endpoint, method string, h http.HandlerFunc) http.Ha
 			dur := s.obs.Now() - start
 			sp.SetAttr("status", rec.code)
 			sp.End()
-			if eps, ok := s.spends.take(tc.TraceID()); ok {
-				// The exact committed sum beats any handler-side estimate.
-				ai.spent = eps
-			}
 			if ai.outcome == "" {
 				switch {
 				case rec.code == http.StatusTooManyRequests || rec.code == http.StatusServiceUnavailable:
@@ -299,7 +288,7 @@ func (s *Server) instrument(endpoint, method string, h http.HandlerFunc) http.Ha
 				Endpoint:       endpoint,
 				Status:         rec.code,
 				QuotedEpsilon:  ai.quoted,
-				SpentEpsilon:   ai.spent,
+				SpentEpsilon:   spentEpsilon(charges),
 				Outcome:        ai.outcome,
 				IdempotencyKey: ai.idemKey,
 				Start:          start,
@@ -483,11 +472,9 @@ func (s *Server) spendQuoted(ctx context.Context, t *Tenant, endpoint string, g 
 	meta.Duration = s.obs.Now() - start
 	meta.Span = sp.ID()
 	meta.Trace = sp.TraceID()
-	meta.Charge = mechanism.ChargeScopeFrom(ctx)
+	meta.Charges = mechanism.ChargesFrom(ctx)
 	res.Commit(meta)
-	ai := accessFrom(ctx)
-	ai.setSpent(g.Epsilon)
-	ai.setOutcome("committed")
+	accessFrom(ctx).setOutcome("committed")
 	t.refreshSpent()
 	return nil
 }
@@ -541,12 +528,10 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		if fit.Degraded {
-			// A degraded fit released without a fresh charge (cached
-			// re-release or widened posterior); the spends tally stays the
-			// authority for traced requests.
+			// A cached re-release charges nothing and a widened posterior
+			// the remaining headroom; the charge collector reports which.
 			ai.setOutcome("degraded")
 		} else {
-			ai.setSpent(s.spec.Epsilon)
 			ai.setOutcome("committed")
 		}
 		t.refreshSpent()
@@ -711,7 +696,6 @@ func (s *Server) handleDensity(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		ai.setSpent(req.Epsilon)
 		ai.setOutcome("committed")
 		t.refreshSpent()
 		return DensityResponse{

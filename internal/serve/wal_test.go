@@ -626,3 +626,49 @@ func TestReloadTenantsUnderLoad(t *testing.T) {
 	}
 	s2.CloseWALs()
 }
+
+// TestWALDirCreatedOnBoot boots onto a WAL directory that does not
+// exist yet: New must create it rather than fail opening the tenant's
+// log. The commit records written there must carry the exact charges
+// the accountant composed, including a widened fit's remaining headroom
+// and a Gibbs density's recalibrated guarantee.
+func TestWALDirCreatedOnBoot(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "state", "wal")
+	s, ts := newTestService(t, Config{
+		Tenants: walTenant(1),
+		Learner: LearnerSpec{Epsilon: 0.8},
+		WALDir:  dir,
+	})
+	data := testData(13, 16, 2)
+	for i, req := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/fit", FitRequest{Tenant: "alpha", Seed: 1, Data: data}},
+		{"/v1/density", DensityRequest{Tenant: "alpha", Seed: 2, Kind: "gibbs", Feature: 0, Lo: -1, Hi: 1,
+			Epsilon: 0.09, BinChoices: []int{4, 8}, Clip: 4, Data: data}},
+		{"/v1/fit", FitRequest{Tenant: "alpha", Seed: 3, Degrade: "widen", Data: data}},
+	} {
+		if resp, body := postJSON(t, ts.URL+req.path, req.body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d (%s): HTTP %d: %s", i, req.path, resp.StatusCode, body)
+		}
+	}
+	ts.Close()
+	s.CloseWALs()
+	var logged []wal.Charge
+	for _, rec := range readWALRecords(t, filepath.Join(dir, "alpha.wal")) {
+		if rec.Op == wal.OpCommit {
+			logged = append(logged, rec.Charges...)
+		}
+	}
+	spent := getAlpha(t, s).Acct.Records()
+	if len(logged) != len(spent) {
+		t.Fatalf("WAL commits carry %d charge(s), accountant spent %d", len(logged), len(spent))
+	}
+	for i, r := range spent {
+		//dplint:ignore floateq each WAL charge must be the accountant's guarantee bit for bit
+		if c := logged[i]; c.Epsilon != r.Guarantee.Epsilon || c.Delta != r.Guarantee.Delta || c.Mechanism != r.Meta.Mechanism {
+			t.Errorf("charge %d: WAL %+v, accountant %+v", i, c, r)
+		}
+	}
+}
