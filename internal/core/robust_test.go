@@ -180,6 +180,51 @@ func TestFitWidenPolicy(t *testing.T) {
 	}
 }
 
+// TestFitWidenClosesBudgetAfterLongHistory pins the widen policy at the
+// history length a long-lived tenant reaches: after 10⁴ heterogeneous
+// spends (ε in [0.01, 0.03] with an occasional 0.5, the serve
+// benchmark's mix), a widened fit spends exactly the remainder, the
+// composition lands on the budget bit for bit, nothing remains, and the
+// next reservation is refused.
+func TestFitWidenClosesBudgetAfterLongHistory(t *testing.T) {
+	var acct mechanism.Accountant
+	l, d, g := budgetedLearner(t, 2, &acct, DegradeWiden)
+	draw := rng.New(13)
+	for i := 0; i < 10000; i++ {
+		eps := 0.02 * (0.5 + draw.Float64())
+		if draw.Intn(20) == 0 {
+			eps = 0.5
+		}
+		acct.Spend(mechanism.Guarantee{Epsilon: eps})
+	}
+	full := fitGuarantee(t, l, d)
+	budget := mechanism.Guarantee{Epsilon: acct.BasicComposition().Epsilon + 0.37*full.Epsilon}
+	if err := acct.SetBudget(budget); err != nil {
+		t.Fatal(err)
+	}
+	fit, err := l.Fit(d, g)
+	if err != nil {
+		t.Fatalf("widened fit: %v", err)
+	}
+	if !fit.Degraded || fit.Policy != DegradeWiden {
+		t.Fatalf("fit not widened: %+v", fit)
+	}
+	rem, ok := acct.Remaining()
+	if !ok {
+		t.Fatal("accountant lost its budget")
+	}
+	//dplint:ignore floateq widen must close the budget to exactly zero, no floating-point residue
+	if rem.Epsilon != 0 {
+		t.Fatalf("after widen: remaining ε = %.17g, want exactly 0", rem.Epsilon)
+	}
+	if got := acct.BasicComposition().Epsilon; math.Float64bits(got) != math.Float64bits(budget.Epsilon) {
+		t.Fatalf("composition %.17g after widening, want the budget %.17g", got, budget.Epsilon)
+	}
+	if _, err := acct.Reserve(mechanism.Guarantee{Epsilon: 1e-12}); !errors.Is(err, mechanism.ErrBudgetExhausted) {
+		t.Fatalf("reservation after the budget closed: want ErrBudgetExhausted, got %v", err)
+	}
+}
+
 // TestFitCtxCanceled pins that a canceled fit spends nothing and leaves
 // no outstanding reservation.
 func TestFitCtxCanceled(t *testing.T) {

@@ -163,3 +163,38 @@ func FuzzLogNormalize(f *testing.F) {
 		}
 	})
 }
+
+// FuzzExactSum checks ExactSum against the math/big oracle (the exact
+// total rounded once), its independence of operation order, and that
+// subtracting the values again restores the empty sum.
+func FuzzExactSum(f *testing.F) {
+	f.Add(1.0, 0x1p-53, 0.0, 0.0)
+	f.Add(1e308, 1e308, -1e308, 5e-324)
+	f.Add(0.1, 0.2, 0.3, -0.6)
+	f.Add(math.Inf(1), 1.0, math.Inf(-1), 2.0)
+	f.Add(math.Copysign(0, -1), 2.2250738585072014e-308, -4.9e-324, math.NaN())
+	f.Fuzz(func(t *testing.T, a, b, c, d float64) {
+		xs := []float64{a, b, c, d}
+		got := exactSumOf(xs)
+		if want := exactOracle(xs); !sameFloat(got, want) {
+			t.Fatalf("ExactSum(%v) = %v, oracle %v", xs, got, want)
+		}
+		if rev := exactSumOf([]float64{d, b, a, c}); !sameFloat(got, rev) {
+			t.Fatalf("reordering changed ExactSum(%v): %v vs %v", xs, got, rev)
+		}
+		if anyNaN(xs...) || math.IsInf(a, 0) || math.IsInf(b, 0) || math.IsInf(c, 0) || math.IsInf(d, 0) {
+			return // NaN and ±Inf are sticky by design
+		}
+		var s ExactSum
+		for _, x := range xs {
+			s.Add(x)
+		}
+		for _, x := range xs {
+			s.Sub(x)
+		}
+		s.normalize()
+		if s.limbs != (ExactSum{}).limbs {
+			t.Fatalf("Add then Sub of %v left a residue", xs)
+		}
+	})
+}

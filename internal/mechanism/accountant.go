@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"sync"
+
+	"repro/internal/mathx"
 )
 
 // SpendMeta carries the ledger metadata of one release: everything an
@@ -68,13 +70,25 @@ type Accountant struct {
 	spent    []SpendRecord
 	observer SpendObserver
 
+	// spentEps and spentDel are the exact running totals of every
+	// recorded spend; composition rounds them once, so it costs O(1) in
+	// the length of the history and depends only on the spend multiset.
+	spentEps, spentDel mathx.ExactSum
+	// firstEps and advErr summarise the history for advanced
+	// composition: the first spend's ε, and why the closed form does not
+	// apply (nil while every spend is pure with that same ε).
+	firstEps float64
+	advErr   error
+
 	// Budget enforcement (see budget.go): when hasBudget is set, Reserve
-	// admits a release only if the canonical composition of spent,
-	// reserved, and the request stays within budget. reserved holds the
-	// outstanding (reserved-but-not-yet-committed) claims by identity.
-	budget    Guarantee
-	hasBudget bool
-	reserved  []*Reservation
+	// admits a release only if the composition of spent, reserved, and
+	// the request stays within budget. reserved holds the outstanding
+	// (reserved-but-not-yet-committed) claims by identity, and heldEps
+	// and heldDel their exact running totals.
+	budget           Guarantee
+	hasBudget        bool
+	reserved         []*Reservation
+	heldEps, heldDel mathx.ExactSum
 }
 
 // SetObserver installs the spend observer (nil to remove). On a nil
@@ -109,14 +123,27 @@ func (a *Accountant) SpendDetail(g Guarantee, meta SpendMeta) {
 	a.recordLocked(g, meta)
 }
 
-// recordLocked appends one spend with the next sequence number, hands
-// it to the request's charge collector, if any, and forwards it to the
+// recordLocked appends one spend with the next sequence number, adds it
+// to the running totals and the advanced-composition summary, hands it
+// to the request's charge collector, if any, and forwards it to the
 // observer. Caller holds a.mu.
 func (a *Accountant) recordLocked(g Guarantee, meta SpendMeta) {
 	charges := meta.Charges
 	meta.Charges = nil
 	rec := SpendRecord{Seq: uint64(len(a.spent)), Guarantee: g, Meta: meta}
+	if len(a.spent) == 0 {
+		a.firstEps = g.Epsilon
+	}
+	if a.advErr == nil {
+		if g.Delta != 0 { //dplint:ignore floateq pure eps-DP is encoded as bitwise delta=0; no arithmetic ever perturbs it
+			a.advErr = errors.New("mechanism: advanced composition implemented for pure ε-DP only")
+		} else if g.Epsilon != a.firstEps { //dplint:ignore floateq homogeneity check: the spent guarantees must carry the identical stored ε
+			a.advErr = errors.New("mechanism: advanced composition implemented for homogeneous ε only")
+		}
+	}
 	a.spent = append(a.spent, rec)
+	a.spentEps.Add(g.Epsilon)
+	a.spentDel.Add(g.Delta)
 	charges.add(rec)
 	if a.observer != nil {
 		a.observer(rec)
@@ -143,34 +170,25 @@ func (a *Accountant) Records() []SpendRecord {
 	return append([]SpendRecord(nil), a.spent...)
 }
 
-// guarantees returns the spent guarantees (caller holds no lock).
-func (a *Accountant) guarantees() []Guarantee {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]Guarantee, len(a.spent))
-	for i, r := range a.spent {
-		out[i] = r.Guarantee
-	}
-	return out
-}
-
 // BasicComposition returns the sequential-composition guarantee:
 // ε_total = Σ εᵢ, δ_total = Σ δᵢ.
 //
-// The sum runs in a canonical order — guarantees sorted ascending by
-// (ε, δ) — with Kahan compensation, so the composed guarantee is a pure
-// function of the *multiset* of spends. Floating-point addition is not
-// associative; without the canonical order, workers interleaving their
-// spends differently across runs (or across Workers settings of the
-// parallel engine) could change the composed ε's low bits, and the
-// runtime privacy ledger could never be golden-tested. The obs ledger's
-// ComposeBasic implements the identical algorithm, so ledger and
-// accountant agree bit-for-bit.
+// Each sum is the exact total of the recorded spends rounded once
+// (mathx.ExactSum), read from running totals in O(1). The composed
+// guarantee is therefore a pure function of the *multiset* of spends.
+// Floating-point addition is not associative; a plain running sum would
+// let workers that interleave their spends differently across runs (or
+// across Workers settings of the parallel engine) change the composed
+// ε's low bits, and the runtime privacy ledger could never be
+// golden-tested. The obs ledger's ComposeBasic sums with the same
+// accumulator, so ledger and accountant agree bit-for-bit.
 func (a *Accountant) BasicComposition() Guarantee {
 	if a == nil {
 		return Guarantee{}
 	}
-	return composeCanonical(a.guarantees())
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return Guarantee{Epsilon: a.spentEps.Sum(), Delta: a.spentDel.Sum()}
 }
 
 // AdvancedComposition returns the Dwork–Rothblum–Vadhan advanced
@@ -188,16 +206,10 @@ func (a *Accountant) AdvancedComposition(deltaSlack float64) (Guarantee, error) 
 	if len(a.spent) == 0 {
 		return Guarantee{Delta: deltaSlack}, nil
 	}
-	eps := a.spent[0].Guarantee.Epsilon
-	for _, r := range a.spent {
-		g := r.Guarantee
-		if g.Delta != 0 { //dplint:ignore floateq pure eps-DP is encoded as bitwise delta=0; no arithmetic ever perturbs it
-			return Guarantee{}, errors.New("mechanism: advanced composition implemented for pure ε-DP only")
-		}
-		if g.Epsilon != eps { //dplint:ignore floateq homogeneity check: the spent guarantees must carry the identical stored ε
-			return Guarantee{}, errors.New("mechanism: advanced composition implemented for homogeneous ε only")
-		}
+	if a.advErr != nil {
+		return Guarantee{}, a.advErr
 	}
+	eps := a.firstEps
 	k := float64(len(a.spent))
 	epsTotal := eps*math.Sqrt(2*k*math.Log(1/deltaSlack)) + k*eps*math.Expm1(eps)
 	return Guarantee{Epsilon: epsTotal, Delta: deltaSlack}, nil

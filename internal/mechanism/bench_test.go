@@ -109,3 +109,71 @@ func BenchmarkAccountantAdvanced(b *testing.B) {
 		}
 	}
 }
+
+// historyAccountant returns a budgeted accountant holding n committed
+// spends drawn like a long-lived serve tenant's: ε in [0.01, 0.03] with
+// an occasional 0.5 fit.
+func historyAccountant(b *testing.B, n int) *Accountant {
+	b.Helper()
+	a := &Accountant{}
+	if err := a.SetBudget(Guarantee{Epsilon: 1e9}); err != nil {
+		b.Fatal(err)
+	}
+	g := rng.New(11)
+	for i := 0; i < n; i++ {
+		eps := 0.02 * (0.5 + g.Float64())
+		if g.Intn(20) == 0 {
+			eps = 0.5
+		}
+		a.Spend(Guarantee{Epsilon: eps})
+	}
+	// One admission grows the holds slice, so no timed op pays for it.
+	res, err := a.Reserve(Guarantee{Epsilon: 0.02})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res.Release()
+	return a
+}
+
+// historySizes are the spend-history lengths the AfterN benchmarks run
+// at: admission and composition must cost the same at every one.
+var historySizes = []struct {
+	name string
+	n    int
+}{{"1e2", 100}, {"1e3", 1000}, {"1e4", 10000}, {"1e5", 100000}}
+
+// BenchmarkReserveAfterN measures one admission (Reserve, then Release
+// of the hold) against a budget after N committed spends.
+func BenchmarkReserveAfterN(b *testing.B) {
+	for _, size := range historySizes {
+		b.Run(size.name, func(b *testing.B) {
+			a := historyAccountant(b, size.n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := a.Reserve(Guarantee{Epsilon: 0.02})
+				if err != nil {
+					b.Fatal(err)
+				}
+				res.Release()
+			}
+		})
+	}
+}
+
+// BenchmarkBasicCompositionAfterN measures composing N committed spends.
+func BenchmarkBasicCompositionAfterN(b *testing.B) {
+	for _, size := range historySizes {
+		b.Run(size.name, func(b *testing.B) {
+			a := historyAccountant(b, size.n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				composedSink = a.BasicComposition()
+			}
+		})
+	}
+}
+
+var composedSink Guarantee

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/mathx"
@@ -15,28 +14,6 @@ import (
 // pipeline checks it with errors.Is and applies the caller's
 // DegradePolicy (refuse, fall back, or widen) instead of spending.
 var ErrBudgetExhausted = errors.New("mechanism: privacy budget exhausted")
-
-// composeCanonical returns the basic sequential composition of a
-// multiset of guarantees — ε_total = Σ εᵢ, δ_total = Σ δᵢ — summed in
-// the canonical order (ascending by ε, then δ) with Kahan compensation.
-// The result is a pure function of the multiset, never of arrival
-// order, which is what lets the budget admission decision and the
-// ledger cross-check stay bit-identical across worker interleavings.
-// The slice is sorted in place; callers pass a private copy.
-func composeCanonical(gs []Guarantee) Guarantee {
-	sort.Slice(gs, func(i, j int) bool {
-		if gs[i].Epsilon != gs[j].Epsilon { //dplint:ignore floateq canonical-order comparison: exact value ordering is the point
-			return gs[i].Epsilon < gs[j].Epsilon
-		}
-		return gs[i].Delta < gs[j].Delta
-	})
-	var eps, del mathx.KahanSum
-	for _, g := range gs {
-		eps.Add(g.Epsilon)
-		del.Add(g.Delta)
-	}
-	return Guarantee{Epsilon: eps.Sum(), Delta: del.Sum()}
-}
 
 // SetBudget installs a hard cap on the accountant's basic composition:
 // every subsequent Reserve is admitted only if the composed guarantee
@@ -49,11 +26,8 @@ func (a *Accountant) SetBudget(g Guarantee) error {
 	if a == nil {
 		return nil
 	}
-	if math.IsNaN(g.Epsilon) || math.IsInf(g.Epsilon, 0) || g.Epsilon < 0 {
-		return fmt.Errorf("mechanism: budget ε must be finite and non-negative, got %v", g.Epsilon)
-	}
-	if math.IsNaN(g.Delta) || g.Delta < 0 || g.Delta >= 1 {
-		return fmt.Errorf("mechanism: budget δ must be in [0,1), got %v", g.Delta)
+	if err := checkGuarantee("budget", g); err != nil {
+		return err
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -72,22 +46,38 @@ func (a *Accountant) Budget() (Guarantee, bool) {
 	return a.budget, a.hasBudget
 }
 
-// obligations returns the guarantees of every spend and every held
-// reservation. Caller must hold a.mu.
-func (a *Accountant) obligationsLocked() []Guarantee {
-	gs := make([]Guarantee, 0, len(a.spent)+len(a.reserved))
-	for _, r := range a.spent {
-		gs = append(gs, r.Guarantee)
+// checkGuarantee rejects an (ε, δ) pair no budget arithmetic can hold:
+// ε must be finite and non-negative and δ in [0, 1). A NaN or infinite
+// reservation would poison the running totals (NaN compares false, so
+// every later request would be admitted), and a negative one would
+// refund budget that was never returned.
+func checkGuarantee(what string, g Guarantee) error {
+	if math.IsNaN(g.Epsilon) || math.IsInf(g.Epsilon, 0) || g.Epsilon < 0 {
+		return fmt.Errorf("mechanism: %s ε must be finite and non-negative, got %v", what, g.Epsilon)
 	}
-	for _, res := range a.reserved {
-		gs = append(gs, res.g)
+	if math.IsNaN(g.Delta) || g.Delta < 0 || g.Delta >= 1 {
+		return fmt.Errorf("mechanism: %s δ must be in [0,1), got %v", what, g.Delta)
 	}
-	return gs
+	return nil
 }
 
-// Remaining returns the budget headroom: the budget minus the canonical
-// composition of all spends and held reservations, clamped at zero
-// component-wise. The second result is false when no budget is set.
+// usedLocked returns the exact running totals of every spend and every
+// held reservation, as stack copies the caller may extend. Caller holds
+// a.mu.
+func (a *Accountant) usedLocked() (eps, del mathx.ExactSum) {
+	eps, del = a.spentEps, a.spentDel
+	eps.Merge(&a.heldEps)
+	del.Merge(&a.heldDel)
+	return eps, del
+}
+
+// Remaining returns the budget headroom in ε and δ: the exact budget
+// minus the exact composition of all spends and held reservations,
+// rounded once, and zero once that composition rounds to the budget or
+// past it. Reserving the headroom is always admitted and closes the
+// budget: the composition then rounds to exactly the budget, so a
+// release widened to the headroom leaves no floating-point residue. The
+// second result is false when no budget is set.
 func (a *Accountant) Remaining() (Guarantee, bool) {
 	if a == nil {
 		return Guarantee{}, false
@@ -97,15 +87,27 @@ func (a *Accountant) Remaining() (Guarantee, bool) {
 	if !a.hasBudget {
 		return Guarantee{}, false
 	}
-	used := composeCanonical(a.obligationsLocked())
-	rem := Guarantee{Epsilon: a.budget.Epsilon - used.Epsilon, Delta: a.budget.Delta - used.Delta}
-	if rem.Epsilon < 0 {
-		rem.Epsilon = 0
+	eps, del := a.usedLocked()
+	return Guarantee{Epsilon: headroom(a.budget.Epsilon, eps), Delta: headroom(a.budget.Delta, del)}, true
+}
+
+// headroom returns round(budget − used), or zero once used rounds to
+// the budget or past it. The rounded difference h makes used + h round
+// to exactly the budget, except when used + h falls on a tie: then it
+// may round one ulp past, and h steps down one ulp so that reserving it
+// is still admitted.
+func headroom(budget float64, used mathx.ExactSum) float64 {
+	if used.Sum() >= budget {
+		return 0
 	}
-	if rem.Delta < 0 {
-		rem.Delta = 0
+	over := used
+	over.Sub(budget)
+	h := -over.Sum()
+	used.Add(h)
+	if used.Sum() > budget {
+		h = math.Nextafter(h, 0)
 	}
-	return rem, true
+	return h
 }
 
 // Reservation is a held claim on budget headroom: the first half of the
@@ -146,19 +148,29 @@ const (
 // the nil Reservation's Commit and Release are no-ops, matching the
 // nil-accountant contract of Spend.
 //
-// Admission is decided on the canonical composition of the obligation
-// multiset, so the verdict for a given set of outstanding holds is
-// deterministic — independent of the order concurrent reservations
-// interleaved in.
+// A guarantee with a non-finite or negative ε or δ, or with δ ≥ 1, is
+// refused with a validation error that does not wrap
+// ErrBudgetExhausted.
+//
+// Admission is decided on the exact total of the obligation multiset
+// (spends, holds and the request) rounded once, so the verdict for a
+// given set of outstanding holds is deterministic — independent of the
+// order concurrent reservations interleaved in — and costs O(1) in the
+// length of the spend history.
 func (a *Accountant) Reserve(g Guarantee) (*Reservation, error) {
 	if a == nil {
 		return nil, nil
 	}
+	if err := checkGuarantee("reserved", g); err != nil {
+		return nil, err
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.hasBudget {
-		prospective := append(a.obligationsLocked(), g)
-		used := composeCanonical(prospective)
+		eps, del := a.usedLocked()
+		eps.Add(g.Epsilon)
+		del.Add(g.Delta)
+		used := Guarantee{Epsilon: eps.Sum(), Delta: del.Sum()}
 		if used.Epsilon > a.budget.Epsilon || used.Delta > a.budget.Delta {
 			return nil, fmt.Errorf("mechanism: reserving (ε=%g, δ=%g) would compose to (ε=%g, δ=%g), over budget (ε=%g, δ=%g): %w",
 				g.Epsilon, g.Delta, used.Epsilon, used.Delta, a.budget.Epsilon, a.budget.Delta, ErrBudgetExhausted)
@@ -166,6 +178,8 @@ func (a *Accountant) Reserve(g Guarantee) (*Reservation, error) {
 	}
 	res := &Reservation{a: a, g: g}
 	a.reserved = append(a.reserved, res)
+	a.heldEps.Add(g.Epsilon)
+	a.heldDel.Add(g.Delta)
 	return res, nil
 }
 
@@ -224,12 +238,15 @@ func (r *Reservation) Release() {
 	r.a.dropReservationLocked(r)
 }
 
-// dropReservationLocked removes one reservation by identity. Caller
-// holds a.mu.
+// dropReservationLocked removes one reservation by identity and
+// subtracts it from the held totals, which restores them bit for bit.
+// Caller holds a.mu.
 func (a *Accountant) dropReservationLocked(r *Reservation) {
 	for i, held := range a.reserved {
 		if held == r {
 			a.reserved = append(a.reserved[:i], a.reserved[i+1:]...)
+			a.heldEps.Sub(r.g.Epsilon)
+			a.heldDel.Sub(r.g.Delta)
 			return
 		}
 	}

@@ -343,3 +343,139 @@ func TestConcurrentReserveCommitRelease(t *testing.T) {
 		}
 	}
 }
+
+// TestReserveRejectsInvalidGuarantee pins input validation on Reserve:
+// a NaN, infinite or negative ε or δ, or δ ≥ 1, is refused with an
+// error that is not ErrBudgetExhausted, holds nothing, and leaves
+// admission intact. Unchecked, +Inf or NaN poisoned the composition
+// (NaN compares false, so every later request was admitted) and a
+// negative ε refunded budget.
+func TestReserveRejectsInvalidGuarantee(t *testing.T) {
+	var a Accountant
+	if err := a.SetBudget(Guarantee{Epsilon: 1}); err != nil {
+		t.Fatal(err)
+	}
+	a.Spend(Guarantee{Epsilon: 0.9})
+	bad := []Guarantee{
+		{Epsilon: math.Inf(1)},
+		{Epsilon: math.Inf(-1)},
+		{Epsilon: math.NaN()},
+		{Epsilon: -5},
+		{Epsilon: 0.01, Delta: math.NaN()},
+		{Epsilon: 0.01, Delta: math.Inf(1)},
+		{Epsilon: 0.01, Delta: -1e-9},
+		{Epsilon: 0.01, Delta: 1},
+	}
+	for _, g := range bad {
+		res, err := a.Reserve(g)
+		if err == nil || res != nil {
+			t.Errorf("Reserve(%+v) admitted", g)
+			continue
+		}
+		if errors.Is(err, ErrBudgetExhausted) {
+			t.Errorf("Reserve(%+v): validation error wraps ErrBudgetExhausted: %v", g, err)
+		}
+	}
+	if a.Reserved() != 0 {
+		t.Fatalf("rejected guarantees left %d hold(s)", a.Reserved())
+	}
+	if got := a.BasicComposition(); got.Epsilon != 0.9 || got.Delta != 0 {
+		t.Fatalf("composition moved to %+v", got)
+	}
+	if _, err := a.Reserve(Guarantee{Epsilon: 0.2}); !errors.Is(err, ErrBudgetExhausted) {
+		t.Fatalf("0.9 spent + 0.2 over a budget of 1: want ErrBudgetExhausted, got %v", err)
+	}
+	if _, err := a.Reserve(Guarantee{Epsilon: 0.1}); err != nil {
+		t.Fatalf("0.9 spent + 0.1 fits a budget of 1: %v", err)
+	}
+	var free Accountant
+	if _, err := free.Reserve(Guarantee{Epsilon: math.Inf(1)}); err == nil {
+		t.Fatal("Reserve(+Inf) admitted without a budget")
+	}
+}
+
+// TestRemainingClosesBudget pins the headroom contract the widen policy
+// relies on, over heterogeneous histories and budgets both near and far
+// above the spent total: reserving Remaining() is admitted, the
+// composition then equals the budget bit for bit, nothing remains, and
+// holds taken and released in between leave the headroom unchanged.
+func TestRemainingClosesBudget(t *testing.T) {
+	g := rng.New(21)
+	for trial := 0; trial < 300; trial++ {
+		var a Accountant
+		for i, n := 0, 1+g.Intn(300); i < n; i++ {
+			a.Spend(Guarantee{Epsilon: 0.02 * (0.5 + g.Float64())})
+			if g.Intn(50) == 0 {
+				a.Spend(Guarantee{Epsilon: 0.5})
+			}
+		}
+		spent := a.BasicComposition().Epsilon
+		budget := Guarantee{Epsilon: spent * (1 + 3*g.Float64())}
+		if err := a.SetBudget(budget); err != nil {
+			t.Fatal(err)
+		}
+		rem, _ := a.Remaining()
+		var holds []*Reservation
+		for i := 0; i < 5; i++ {
+			res, err := a.Reserve(Guarantee{Epsilon: rem.Epsilon * g.Float64() / 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			holds = append(holds, res)
+		}
+		for _, res := range holds {
+			res.Release()
+		}
+		if again, _ := a.Remaining(); math.Float64bits(again.Epsilon) != math.Float64bits(rem.Epsilon) {
+			t.Fatalf("trial %d: released holds moved the headroom %v → %v", trial, rem.Epsilon, again.Epsilon)
+		}
+		res, err := a.Reserve(rem)
+		if err != nil {
+			t.Fatalf("trial %d: reserving the headroom %v over %v spent refused: %v", trial, rem.Epsilon, spent, err)
+		}
+		res.Commit(SpendMeta{})
+		if got := a.BasicComposition().Epsilon; math.Float64bits(got) != math.Float64bits(budget.Epsilon) {
+			t.Fatalf("trial %d: composition %.17g after widening, want the budget %.17g", trial, got, budget.Epsilon)
+		}
+		if after, _ := a.Remaining(); after.Epsilon != 0 {
+			t.Fatalf("trial %d: %v remains after reserving the headroom", trial, after.Epsilon)
+		}
+	}
+
+	// A tie: the spent 3·2⁻⁵³ plus the rounded headroom 1+2⁻⁵¹ lands
+	// halfway between the odd-mantissa budget 1+3·2⁻⁵² and 1+4·2⁻⁵², and
+	// rounds past the budget; the headroom must step down to stay
+	// admissible.
+	var a Accountant
+	if err := a.SetBudget(Guarantee{Epsilon: 1 + 3*0x1p-52}); err != nil {
+		t.Fatal(err)
+	}
+	a.Spend(Guarantee{Epsilon: 3 * 0x1p-53})
+	rem, _ := a.Remaining()
+	if _, err := a.Reserve(rem); err != nil {
+		t.Fatalf("reserving the headroom %v at a rounding tie refused: %v", rem.Epsilon, err)
+	}
+}
+
+// TestCompositionDoesNotAllocate pins the O(1) read path: composing and
+// reading the headroom allocate nothing, whatever the history length.
+func TestCompositionDoesNotAllocate(t *testing.T) {
+	var a Accountant
+	if err := a.SetBudget(Guarantee{Epsilon: 1e9}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		a.Spend(Guarantee{Epsilon: 0.01 + float64(i%7)*0.003})
+	}
+	var sink float64
+	if n := testing.AllocsPerRun(100, func() { sink += a.BasicComposition().Epsilon }); n != 0 {
+		t.Errorf("BasicComposition allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		rem, _ := a.Remaining()
+		sink += rem.Epsilon
+	}); n != 0 {
+		t.Errorf("Remaining allocates %v times", n)
+	}
+	_ = sink
+}

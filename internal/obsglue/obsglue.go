@@ -140,10 +140,10 @@ func (rt *Runtime) Sink() mechanism.SpendObserver {
 }
 
 // CrossCheck verifies the ledger against the accountant it observed:
-// the record counts must match and the canonical composed (ε, δ) must
-// agree bit-for-bit (both sides sort the spend multiset into the same
-// canonical order and Kahan-sum it). A mismatch means a release escaped
-// the ledger — the dynamic analogue of an acctlint finding.
+// the record counts must match and the composed (ε, δ) must agree
+// bit-for-bit (both sides sum the spend multiset exactly and round once,
+// with mathx.ExactSum). A mismatch means a release escaped the ledger —
+// the dynamic analogue of an acctlint finding.
 func (rt *Runtime) CrossCheck(acct *mechanism.Accountant) error {
 	if got, want := rt.Ledger.Len(), acct.Count(); got != want {
 		return fmt.Errorf("obsglue: ledger has %d record(s), accountant spent %d", got, want)

@@ -20,8 +20,8 @@
 // Recovery (Replay) therefore settles every in-flight request safely:
 // commit present → charge the exact logged guarantees; reserve without
 // commit → void. Replaying the commit charges through SpendDetail
-// rebuilds an Accountant bit-identically: both sides canonically
-// compose the same guarantee multiset (sorted, Kahan-summed), so the
+// rebuilds an Accountant bit-identically: both sides sum the same
+// guarantee multiset exactly and round once (mathx.ExactSum), so the
 // recovered composition equals obs.ComposeBasic of the WAL's commit
 // records bit for bit.
 //
