@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -222,10 +223,12 @@ func TestGoldenDeterminismWithTracing(t *testing.T) {
 
 // ledgerRun drives a batch of concurrent spends through a shared
 // accountant observed by a ledger, under the parallel engine with the
-// given worker count, and returns both sides' composed guarantees.
-func ledgerRun(workers int) (led *obs.Ledger, acct *mechanism.Accountant) {
+// given worker count, and returns both sides plus the ledger's NDJSON
+// trace stream.
+func ledgerRun(workers int) (led *obs.Ledger, acct *mechanism.Accountant, stream *bytes.Buffer) {
 	acct = &mechanism.Accountant{}
-	led = obs.NewLedger(nil)
+	stream = &bytes.Buffer{}
+	led = obs.NewLedger(obs.NewTracer(stream, &obs.LogicalClock{}))
 	acct.SetObserver(func(r mechanism.SpendRecord) {
 		led.Record(obs.LedgerRecord{
 			Seq:         r.Seq,
@@ -249,7 +252,19 @@ func ledgerRun(workers int) (led *obs.Ledger, acct *mechanism.Accountant) {
 			)
 		}
 	})
-	return led, acct
+	return led, acct, stream
+}
+
+// ledgerLines reads the ledger lines of an NDJSON trace stream, sorted
+// by sequence number.
+func ledgerLines(t *testing.T, stream *bytes.Buffer) []obs.LedgerRecord {
+	t.Helper()
+	data, err := obs.ReadTraceNDJSON(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(data.Ledger, func(i, j int) bool { return data.Ledger[i].Seq < data.Ledger[j].Seq })
+	return data.Ledger
 }
 
 // TestLedgerMatchesAccountantAcrossWorkers pins satellite invariants of
@@ -259,10 +274,10 @@ func ledgerRun(workers int) (led *obs.Ledger, acct *mechanism.Accountant) {
 // bit-identical between serial and 8-worker runs even though the spend
 // arrival order differs.
 func TestLedgerMatchesAccountantAcrossWorkers(t *testing.T) {
-	_, refAcct := ledgerRun(1)
+	_, refAcct, _ := ledgerRun(1)
 	refG := refAcct.BasicComposition()
 	for _, workers := range []int{1, 8} {
-		led, acct := ledgerRun(workers)
+		led, acct, stream := ledgerRun(workers)
 		if led.Len() != acct.Count() {
 			t.Fatalf("workers=%d: ledger has %d records, accountant %d", workers, led.Len(), acct.Count())
 		}
@@ -276,8 +291,12 @@ func TestLedgerMatchesAccountantAcrossWorkers(t *testing.T) {
 			t.Errorf("workers=%d: composed guarantee bits differ from serial run", workers)
 		}
 		// Seq numbers must be a permutation-free total order 0..n−1: the
-		// records sorted by Seq carry each sequence number exactly once.
-		for i, r := range led.Records() {
+		// ledger lines sorted by Seq carry each sequence number exactly once.
+		recs := ledgerLines(t, stream)
+		if len(recs) != acct.Count() {
+			t.Fatalf("workers=%d: trace stream has %d ledger lines, accountant %d", workers, len(recs), acct.Count())
+		}
+		for i, r := range recs {
 			if r.Seq != uint64(i) {
 				t.Fatalf("workers=%d: record %d has seq %d", workers, i, r.Seq)
 			}
@@ -353,12 +372,13 @@ func TestGoldenDeterminismCheckpointResume(t *testing.T) {
 // budgetedLedgerRun drives concurrent two-phase spends against a
 // budget-capped accountant under the parallel engine: each worker
 // reserves, commits what the budget admits, and releases the rest.
-func budgetedLedgerRun(workers int) (led *obs.Ledger, acct *mechanism.Accountant) {
+func budgetedLedgerRun(workers int) (led *obs.Ledger, acct *mechanism.Accountant, stream *bytes.Buffer) {
 	acct = &mechanism.Accountant{}
 	if err := acct.SetBudget(mechanism.Guarantee{Epsilon: 0.05}); err != nil {
 		panic(err)
 	}
-	led = obs.NewLedger(nil)
+	stream = &bytes.Buffer{}
+	led = obs.NewLedger(obs.NewTracer(stream, &obs.LogicalClock{}))
 	acct.SetObserver(func(r mechanism.SpendRecord) {
 		led.Record(obs.LedgerRecord{Seq: r.Seq, Mechanism: r.Meta.Mechanism,
 			Epsilon: r.Guarantee.Epsilon, Delta: r.Guarantee.Delta})
@@ -373,7 +393,7 @@ func budgetedLedgerRun(workers int) (led *obs.Ledger, acct *mechanism.Accountant
 			res.Release() // no-op after Commit (the defer idiom)
 		}
 	})
-	return led, acct
+	return led, acct, stream
 }
 
 // TestBudgetedLedgerMatchesAccountant pins the budget-enforcement
@@ -385,7 +405,7 @@ func budgetedLedgerRun(workers int) (led *obs.Ledger, acct *mechanism.Accountant
 // is arrival-order under contention) — the invariants may not.
 func TestBudgetedLedgerMatchesAccountant(t *testing.T) {
 	for _, workers := range []int{1, 8} {
-		led, acct := budgetedLedgerRun(workers)
+		led, acct, stream := budgetedLedgerRun(workers)
 		if led.Len() != acct.Count() {
 			t.Fatalf("workers=%d: ledger has %d records, accountant %d", workers, led.Len(), acct.Count())
 		}
@@ -404,7 +424,11 @@ func TestBudgetedLedgerMatchesAccountant(t *testing.T) {
 		if g.Epsilon > 0.05 {
 			t.Errorf("workers=%d: composed ε=%.17g exceeds the 0.05 budget", workers, g.Epsilon)
 		}
-		for i, r := range led.Records() {
+		recs := ledgerLines(t, stream)
+		if len(recs) != acct.Count() {
+			t.Fatalf("workers=%d: trace stream has %d ledger lines, accountant %d", workers, len(recs), acct.Count())
+		}
+		for i, r := range recs {
 			if r.Seq != uint64(i) {
 				t.Fatalf("workers=%d: record %d has seq %d", workers, i, r.Seq)
 			}

@@ -91,7 +91,16 @@ func TestFitLedgersThroughAccountantObserver(t *testing.T) {
 	if led.Len() != acct.Count() || led.Len() != 1 {
 		t.Fatalf("ledger %d records, accountant %d spends, want 1 each", led.Len(), acct.Count())
 	}
-	rec := led.Records()[0]
+	// The spend landed inside a live trace span tree: its ledger line,
+	// read back from the stream, carries seq 0 and the release metadata.
+	data, err := obs.ReadTraceNDJSON(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data.Ledger) != 1 || data.Ledger[0].Seq != 0 {
+		t.Fatalf("trace stream ledger mismatch: %+v", data.Ledger)
+	}
+	rec := data.Ledger[0]
 	if rec.Mechanism != "gibbs" {
 		t.Fatalf("mechanism %q, want gibbs", rec.Mechanism)
 	}
@@ -105,13 +114,5 @@ func TestFitLedgersThroughAccountantObserver(t *testing.T) {
 	g := acct.BasicComposition()
 	if e != g.Epsilon || del != g.Delta {
 		t.Fatalf("ledger (%g,%g) != accountant (%g,%g)", e, del, g.Epsilon, g.Delta)
-	}
-	// And the spend landed inside a live trace span tree.
-	recs, err := obs.ReadLedgerNDJSON(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0] != rec {
-		t.Fatalf("trace stream ledger mismatch: %+v", recs)
 	}
 }

@@ -37,16 +37,16 @@ type SpendMeta struct {
 	// Charges is the charge collector of the request the spend belongs
 	// to (nil outside any collecting request; see WithCharges). The
 	// accountant deposits the committed record into it and clears the
-	// field before storing the record, so neither the spend history nor
-	// the observer retains per-request state.
+	// field before forwarding the record, so the observer never retains
+	// per-request state.
 	Charges *Charges
 }
 
 // SpendRecord is one accounted release: the guarantee, its metadata,
 // and the accountant's monotonic sequence number. Seq is assigned under
 // the accountant's lock, so it is a total arrival order — the privacy
-// ledger sorts by it to present releases in audit order even when the
-// parallel engine's workers spend concurrently.
+// ledger lines carry it, so a reader can present releases in audit
+// order even when the parallel engine's workers spend concurrently.
 type SpendRecord struct {
 	Seq       uint64
 	Guarantee Guarantee
@@ -65,9 +65,14 @@ type SpendObserver func(SpendRecord)
 // *Accountant is a valid sink that records nothing — release paths can
 // spend unconditionally and let the caller decide whether to account.
 // Spend and the composition queries are safe for concurrent use.
+//
+// The accountant keeps no per-spend history: composition needs only the
+// exact running totals, a count, and the advanced-composition summary,
+// so its memory does not grow with the number of spends. Observers (the
+// privacy ledger, a request's charge collector) see each record once.
 type Accountant struct {
 	mu       sync.Mutex
-	spent    []SpendRecord
+	count    uint64
 	observer SpendObserver
 
 	// spentEps and spentDel are the exact running totals of every
@@ -82,12 +87,12 @@ type Accountant struct {
 
 	// Budget enforcement (see budget.go): when hasBudget is set, Reserve
 	// admits a release only if the composition of spent, reserved, and
-	// the request stays within budget. reserved holds the outstanding
-	// (reserved-but-not-yet-committed) claims by identity, and heldEps
-	// and heldDel their exact running totals.
+	// the request stays within budget. held counts the outstanding
+	// (reserved-but-not-yet-committed) claims, and heldEps and heldDel
+	// are their exact running totals.
 	budget           Guarantee
 	hasBudget        bool
-	reserved         []*Reservation
+	held             int
 	heldEps, heldDel mathx.ExactSum
 }
 
@@ -123,15 +128,15 @@ func (a *Accountant) SpendDetail(g Guarantee, meta SpendMeta) {
 	a.recordLocked(g, meta)
 }
 
-// recordLocked appends one spend with the next sequence number, adds it
+// recordLocked numbers one spend with the next sequence number, adds it
 // to the running totals and the advanced-composition summary, hands it
 // to the request's charge collector, if any, and forwards it to the
 // observer. Caller holds a.mu.
 func (a *Accountant) recordLocked(g Guarantee, meta SpendMeta) {
 	charges := meta.Charges
 	meta.Charges = nil
-	rec := SpendRecord{Seq: uint64(len(a.spent)), Guarantee: g, Meta: meta}
-	if len(a.spent) == 0 {
+	rec := SpendRecord{Seq: a.count, Guarantee: g, Meta: meta}
+	if a.count == 0 {
 		a.firstEps = g.Epsilon
 	}
 	if a.advErr == nil {
@@ -141,7 +146,7 @@ func (a *Accountant) recordLocked(g Guarantee, meta SpendMeta) {
 			a.advErr = errors.New("mechanism: advanced composition implemented for homogeneous ε only")
 		}
 	}
-	a.spent = append(a.spent, rec)
+	a.count++
 	a.spentEps.Add(g.Epsilon)
 	a.spentDel.Add(g.Delta)
 	charges.add(rec)
@@ -157,17 +162,7 @@ func (a *Accountant) Count() int {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.spent)
-}
-
-// Records returns a copy of the accounted releases in sequence order.
-func (a *Accountant) Records() []SpendRecord {
-	if a == nil {
-		return nil
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]SpendRecord(nil), a.spent...)
+	return int(a.count)
 }
 
 // BasicComposition returns the sequential-composition guarantee:
@@ -196,21 +191,25 @@ func (a *Accountant) BasicComposition() Guarantee {
 // guarantees): for any slack δ′ > 0 the composition is
 // (ε·sqrt(2k·ln(1/δ′)) + k·ε·(e^ε − 1), δ′)-DP.
 // It returns an error if the recorded guarantees are heterogeneous or
-// impure, since the closed form only covers that case.
+// impure, since the closed form only covers that case. A nil accountant
+// composes like an empty one: ε = 0 with the slack paid into δ.
 func (a *Accountant) AdvancedComposition(deltaSlack float64) (Guarantee, error) {
 	if deltaSlack <= 0 || deltaSlack >= 1 {
 		return Guarantee{}, errors.New("mechanism: advanced composition needs slack in (0,1)")
 	}
+	if a == nil {
+		return Guarantee{Delta: deltaSlack}, nil
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if len(a.spent) == 0 {
+	if a.count == 0 {
 		return Guarantee{Delta: deltaSlack}, nil
 	}
 	if a.advErr != nil {
 		return Guarantee{}, a.advErr
 	}
 	eps := a.firstEps
-	k := float64(len(a.spent))
+	k := float64(a.count)
 	epsTotal := eps*math.Sqrt(2*k*math.Log(1/deltaSlack)) + k*eps*math.Expm1(eps)
 	return Guarantee{Epsilon: epsTotal, Delta: deltaSlack}, nil
 }

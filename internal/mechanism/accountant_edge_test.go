@@ -3,6 +3,8 @@ package mechanism
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestAccountantNilSink pins the nil-sink contract the release paths rely
@@ -12,6 +14,60 @@ func TestAccountantNilSink(t *testing.T) {
 	a.Spend(Guarantee{Epsilon: 1}) // must not panic
 	if a.Count() != 0 {
 		t.Errorf("nil accountant Count = %d", a.Count())
+	}
+	if g, err := a.AdvancedComposition(1e-6); err != nil || g != (Guarantee{Delta: 1e-6}) {
+		t.Errorf("nil accountant AdvancedComposition = %+v, %v; want {0, 1e-6}, nil", g, err)
+	}
+	if g := a.BestComposition(1e-6); g != (Guarantee{}) {
+		t.Errorf("nil accountant BestComposition = %+v, want {0, 0}", g)
+	}
+}
+
+// ledgerObserved returns an accountant observed by a tracer-less
+// privacy ledger, wired the way a serve tenant's books are: the
+// observer copies each spend into an obs.LedgerRecord.
+func ledgerObserved() (*Accountant, *obs.Ledger) {
+	a := &Accountant{}
+	led := obs.NewLedger(nil)
+	a.SetObserver(func(r SpendRecord) {
+		led.Record(obs.LedgerRecord{Seq: r.Seq, Mechanism: r.Meta.Mechanism, Sensitivity: r.Meta.Sensitivity,
+			Epsilon: r.Guarantee.Epsilon, Delta: r.Guarantee.Delta, Outcomes: r.Meta.Outcomes,
+			Duration: r.Meta.Duration, Span: r.Meta.Span, Trace: r.Meta.Trace})
+	})
+	return a, led
+}
+
+// TestBooksRetainNothingPerSpend pins bounded books: after 10⁵ spends,
+// one more spend through an observed accountant allocates nothing, and
+// a two-phase spend allocates only Reserve's handle. Neither the
+// accountant nor the ledger keeps a per-spend history, so memory does
+// not grow with the number of past spends.
+func TestBooksRetainNothingPerSpend(t *testing.T) {
+	a, led := ledgerObserved()
+	g := Guarantee{Epsilon: 1e-3, Delta: 1e-9}
+	meta := SpendMeta{Mechanism: "laplace", Sensitivity: 1, Outcomes: 16, Trace: "4bf92f3577b34da6a3ce929d0e0e4736"}
+	for i := 0; i < 100000; i++ {
+		a.SpendDetail(g, meta)
+	}
+	if n := testing.AllocsPerRun(1000, func() { a.SpendDetail(g, meta) }); n != 0 {
+		t.Errorf("observed SpendDetail allocates %v per spend, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		res, err := a.Reserve(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Commit(meta)
+	}); n != 1 {
+		t.Errorf("Reserve+Commit allocates %v per spend, want 1 (the handle)", n)
+	}
+	if led.Len() != a.Count() || a.Reserved() != 0 {
+		t.Fatalf("ledger has %d record(s), accountant %d, %d held", led.Len(), a.Count(), a.Reserved())
+	}
+	le, ld := led.Composed()
+	//dplint:ignore floateq bit-exact ledger-vs-accountant agreement is the property under test
+	if bc := a.BasicComposition(); le != bc.Epsilon || ld != bc.Delta {
+		t.Fatalf("ledger composes to (%v, %v), accountant to %+v", le, ld, bc)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/mathx"
 )
@@ -128,7 +127,8 @@ type Reservation struct {
 	a *Accountant
 	g Guarantee
 
-	mu    sync.Mutex
+	// state moves from resHeld to resCommitted or resReleased exactly
+	// once, under the accountant's lock (a.mu).
 	state resState
 }
 
@@ -176,11 +176,10 @@ func (a *Accountant) Reserve(g Guarantee) (*Reservation, error) {
 				g.Epsilon, g.Delta, used.Epsilon, used.Delta, a.budget.Epsilon, a.budget.Delta, ErrBudgetExhausted)
 		}
 	}
-	res := &Reservation{a: a, g: g}
-	a.reserved = append(a.reserved, res)
+	a.held++
 	a.heldEps.Add(g.Epsilon)
 	a.heldDel.Add(g.Delta)
-	return res, nil
+	return &Reservation{a: a, g: g}, nil
 }
 
 // Amount returns the reserved guarantee (zero on a nil reservation).
@@ -193,27 +192,24 @@ func (r *Reservation) Amount() Guarantee {
 
 // Commit converts the hold into a recorded spend: the reservation is
 // removed from the outstanding set and a SpendRecord with the next
-// sequence number is appended and forwarded to meta's charge collector
-// and the observer, exactly as SpendDetail would. Committing a released reservation or committing
-// twice is an API-misuse panic — it would double-charge the ledger.
-// On a nil reservation Commit is a no-op.
+// sequence number is forwarded to meta's charge collector and the
+// observer, exactly as SpendDetail would. Committing a released
+// reservation or committing twice is an API-misuse panic — it would
+// double-charge the ledger. On a nil reservation Commit is a no-op.
 func (r *Reservation) Commit(meta SpendMeta) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	a := r.a
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	switch r.state {
 	case resCommitted:
 		panic("mechanism: Reservation.Commit called twice")
 	case resReleased:
 		panic("mechanism: Reservation.Commit after Release")
 	}
-	r.state = resCommitted
-	a := r.a
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.dropReservationLocked(r)
+	a.settleLocked(r, resCommitted)
 	a.recordLocked(r.g, meta)
 }
 
@@ -227,29 +223,23 @@ func (r *Reservation) Release() {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.state != resHeld {
-		return
+	a := r.a
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if r.state == resHeld {
+		a.settleLocked(r, resReleased)
 	}
-	r.state = resReleased
-	r.a.mu.Lock()
-	defer r.a.mu.Unlock()
-	r.a.dropReservationLocked(r)
 }
 
-// dropReservationLocked removes one reservation by identity and
-// subtracts it from the held totals, which restores them bit for bit.
-// Caller holds a.mu.
-func (a *Accountant) dropReservationLocked(r *Reservation) {
-	for i, held := range a.reserved {
-		if held == r {
-			a.reserved = append(a.reserved[:i], a.reserved[i+1:]...)
-			a.heldEps.Sub(r.g.Epsilon)
-			a.heldDel.Sub(r.g.Delta)
-			return
-		}
-	}
+// settleLocked moves a held reservation to its final state and takes it
+// out of the held count and totals; the subtraction restores the totals
+// bit for bit. The state machine settles each hold exactly once, so no
+// per-hold bookkeeping is needed. Caller holds a.mu.
+func (a *Accountant) settleLocked(r *Reservation, final resState) {
+	r.state = final
+	a.held--
+	a.heldEps.Sub(r.g.Epsilon)
+	a.heldDel.Sub(r.g.Delta)
 }
 
 // Reserved returns the number of outstanding (held, neither committed
@@ -260,5 +250,5 @@ func (a *Accountant) Reserved() int {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.reserved)
+	return a.held
 }

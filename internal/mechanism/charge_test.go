@@ -7,8 +7,8 @@ import (
 
 // TestChargesCollectCommittedRecords pins the per-request collector:
 // both commit paths (two-phase Commit and SpendDetail) deposit the exact
-// committed record into the collector stamped on the meta, and neither
-// the accountant's history nor the observer keeps the collector pointer.
+// committed record into the collector stamped on the meta, and the
+// observer never sees the collector pointer.
 func TestChargesCollectCommittedRecords(t *testing.T) {
 	var a Accountant
 	var seen []SpendRecord
@@ -28,15 +28,12 @@ func TestChargesCollectCommittedRecords(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("collector holds %d record(s), want 2", len(got))
 	}
-	want := a.Records()[:2]
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("record %d: collector %+v, accountant %+v", i, got[i], want[i])
-		}
+	if len(seen) != 3 {
+		t.Fatalf("observer saw %d record(s), want 3", len(seen))
 	}
-	for _, r := range a.Records() {
-		if r.Meta.Charges != nil {
-			t.Errorf("accountant seq %d retains the collector", r.Seq)
+	for i := range got {
+		if got[i] != seen[i] {
+			t.Errorf("record %d: collector %+v, observer %+v", i, got[i], seen[i])
 		}
 	}
 	for _, r := range seen {

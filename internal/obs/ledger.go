@@ -1,11 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
-	"sort"
 	"sync"
 
 	"repro/internal/mathx"
@@ -48,14 +43,18 @@ type ledgerLine struct {
 	LedgerRecord
 }
 
-// Ledger accumulates the privacy ledger of one run. It is safe for
-// concurrent use; a nil *Ledger is a valid no-op sink. When a Tracer is
-// attached, every record is additionally emitted as a "ledger" NDJSON
-// line into the trace stream, interleaved with spans.
+// Ledger accounts the privacy ledger of one run. It is safe for
+// concurrent use; a nil *Ledger is a valid no-op sink. It keeps only a
+// record count and the exact running totals of ε and δ, so its memory
+// does not grow with the number of releases. When a Tracer is attached,
+// every record is emitted as a "ledger" NDJSON line into the trace
+// stream, interleaved with spans; that stream, read back with
+// ReadTraceNDJSON, is the ledger's per-release audit trail.
 type Ledger struct {
-	mu     sync.Mutex
-	recs   []LedgerRecord
-	tracer *Tracer
+	mu       sync.Mutex
+	n        int
+	eps, del mathx.ExactSum
+	tracer   *Tracer
 }
 
 // NewLedger returns an empty ledger. tracer may be nil; when set, each
@@ -64,13 +63,15 @@ func NewLedger(tracer *Tracer) *Ledger {
 	return &Ledger{tracer: tracer}
 }
 
-// Record appends one release to the ledger (nil-safe).
+// Record accounts one release (nil-safe).
 func (l *Ledger) Record(r LedgerRecord) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
-	l.recs = append(l.recs, r)
+	l.n++
+	l.eps.Add(r.Epsilon)
+	l.del.Add(r.Delta)
 	tr := l.tracer
 	l.mu.Unlock()
 	if tr != nil {
@@ -85,20 +86,7 @@ func (l *Ledger) Len() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.recs)
-}
-
-// Records returns a copy of the ledger sorted by sequence number — the
-// audit order of the releases.
-func (l *Ledger) Records() []LedgerRecord {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	out := append([]LedgerRecord(nil), l.recs...)
-	l.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
+	return l.n
 }
 
 // Composed returns the basic sequential composition (Σεᵢ, Σδᵢ) of the
@@ -109,14 +97,9 @@ func (l *Ledger) Composed() (epsilon, delta float64) {
 	if l == nil {
 		return 0, 0
 	}
-	var eps, del mathx.ExactSum
 	l.mu.Lock()
-	for _, r := range l.recs {
-		eps.Add(r.Epsilon)
-		del.Add(r.Delta)
-	}
-	l.mu.Unlock()
-	return eps.Sum(), del.Sum()
+	defer l.mu.Unlock()
+	return l.eps.Sum(), l.del.Sum()
 }
 
 // ComposeBasic is the basic-composition sum shared with
@@ -133,49 +116,4 @@ func ComposeBasic(eps, del []float64) (epsilon, delta float64) {
 		sd.Add(del[i])
 	}
 	return se.Sum(), sd.Sum()
-}
-
-// WriteNDJSON writes the ledger (in sequence order) as NDJSON "ledger"
-// lines — the same shape the Tracer interleaves into a trace stream.
-func (l *Ledger) WriteNDJSON(w io.Writer) error {
-	for _, r := range l.Records() {
-		b, err := json.Marshal(ledgerLine{Type: "ledger", LedgerRecord: r})
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(append(b, '\n')); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadLedgerNDJSON extracts the ledger records from an NDJSON stream,
-// skipping span and event lines, and returns them sorted by sequence
-// number. Lines that are not valid JSON objects are an error — the
-// ledger is an audit artifact, so a corrupt line must not be dropped
-// silently.
-func ReadLedgerNDJSON(r io.Reader) ([]LedgerRecord, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var out []LedgerRecord
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var rec ledgerLine
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return nil, fmt.Errorf("obs: trace line %d: %w", line, err)
-		}
-		if rec.Type == "ledger" {
-			out = append(out, rec.LedgerRecord)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out, nil
 }

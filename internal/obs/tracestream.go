@@ -30,7 +30,7 @@ func (d *TraceData) Merge(other TraceData) {
 
 // ReadTraceNDJSON decodes an observability NDJSON stream, dispatching on
 // each line's "type" discriminator. Unknown types are skipped (forward
-// compatibility, matching ReadLedgerNDJSON), but lines that are not
+// compatibility), but lines that are not
 // valid JSON objects are an error — these are audit artifacts, so a
 // corrupt line must not be dropped silently.
 func ReadTraceNDJSON(r io.Reader) (TraceData, error) {

@@ -119,11 +119,11 @@ func Start(f Flags) (*Runtime, error) {
 }
 
 // Sink returns the accountant observer that forwards every spend into
-// the runtime's ledger (wire it with Accountant.SetObserver). The
-// accountant invokes it under its own lock, which makes the copied Seq
-// the spend's true arrival position.
-func (rt *Runtime) Sink() mechanism.SpendObserver {
-	l := rt.Ledger
+// the ledger l (wire it with Accountant.SetObserver). It is the one copy
+// of the SpendRecord → LedgerRecord mapping. The accountant invokes it
+// under its own lock, which makes the copied Seq the spend's true
+// arrival position.
+func Sink(l *obs.Ledger) mechanism.SpendObserver {
 	return func(r mechanism.SpendRecord) {
 		l.Record(obs.LedgerRecord{
 			Seq:         r.Seq,
@@ -139,16 +139,16 @@ func (rt *Runtime) Sink() mechanism.SpendObserver {
 	}
 }
 
-// CrossCheck verifies the ledger against the accountant it observed:
+// CrossCheck verifies the ledger l against the accountant it observed:
 // the record counts must match and the composed (ε, δ) must agree
 // bit-for-bit (both sides sum the spend multiset exactly and round once,
 // with mathx.ExactSum). A mismatch means a release escaped the ledger —
 // the dynamic analogue of an acctlint finding.
-func (rt *Runtime) CrossCheck(acct *mechanism.Accountant) error {
-	if got, want := rt.Ledger.Len(), acct.Count(); got != want {
+func CrossCheck(l *obs.Ledger, acct *mechanism.Accountant) error {
+	if got, want := l.Len(), acct.Count(); got != want {
 		return fmt.Errorf("obsglue: ledger has %d record(s), accountant spent %d", got, want)
 	}
-	le, ld := rt.Ledger.Composed()
+	le, ld := l.Composed()
 	g := acct.BasicComposition()
 	//dplint:ignore floateq bit-exact agreement between ledger and accountant is the property under test
 	if le != g.Epsilon || ld != g.Delta {

@@ -20,15 +20,34 @@ func readAccess(t *testing.T, buf *bytes.Buffer) []obs.AccessRecord {
 	return tr.Access
 }
 
-// composedEpsilon is the canonical composition of a run of spend records.
-func composedEpsilon(recs []mechanism.SpendRecord) float64 {
+// composedEpsilon is the canonical composition of a run of ledger
+// records.
+func composedEpsilon(recs []obs.LedgerRecord) float64 {
 	eps := make([]float64, len(recs))
 	del := make([]float64, len(recs))
 	for i, r := range recs {
-		eps[i], del[i] = r.Guarantee.Epsilon, r.Guarantee.Delta
+		eps[i], del[i] = r.Epsilon, r.Delta
 	}
 	e, _ := obs.ComposeBasic(eps, del)
 	return e
+}
+
+// tracedObserver returns a test observer whose trace stream, carrying
+// every tenant's ledger lines, is written to buf.
+func tracedObserver(buf *bytes.Buffer) *obs.Observer {
+	clock := &obs.LogicalClock{}
+	return &obs.Observer{Tracer: obs.NewTracer(buf, clock), Metrics: obs.NewRegistry(), Clock: clock}
+}
+
+// drainLedger consumes the trace stream written so far and returns its
+// ledger lines in commit order.
+func drainLedger(t *testing.T, buf *bytes.Buffer) []obs.LedgerRecord {
+	t.Helper()
+	tr, err := obs.ReadTraceNDJSON(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr.Ledger
 }
 
 // TestUntracedAccessReportsExactCharges pins that spent_epsilon is the
@@ -37,13 +56,14 @@ func composedEpsilon(recs []mechanism.SpendRecord) float64 {
 // reports its recalibrated guarantee, whose low bits differ from the
 // quoted ε — each bit-equal to the ledger charges the request committed.
 func TestUntracedAccessReportsExactCharges(t *testing.T) {
-	var accessBuf bytes.Buffer
-	s, ts := newTestService(t, Config{
+	var accessBuf, traceBuf bytes.Buffer
+	_, ts := newTestService(t, Config{
 		Tenants: []TenantConfig{
 			{ID: "gibbs", Budget: mechanism.Guarantee{Epsilon: 1}},
 			{ID: "solo", Budget: mechanism.Guarantee{Epsilon: 1}},
 		},
 		Learner:   LearnerSpec{Epsilon: 0.8},
+		Observer:  tracedObserver(&traceBuf),
 		AccessLog: obs.NewAccessLog(&accessBuf),
 	})
 	data := testData(13, 16, 2)
@@ -58,25 +78,23 @@ func TestUntracedAccessReportsExactCharges(t *testing.T) {
 		{"gibbs", "/v1/density", DensityRequest{Tenant: "gibbs", Seed: 3, Kind: "gibbs", Feature: 0, Lo: -1, Hi: 1,
 			Epsilon: 0.09, BinChoices: []int{4, 8}, Clip: 4, Data: data}},
 	}
-	var want [][]mechanism.SpendRecord
+	var want [][]obs.LedgerRecord
 	for i, st := range steps {
-		tn, _ := s.Tenants().Get(st.tenant)
-		before := tn.Acct.Count()
 		resp, body := postJSON(t, ts.URL+st.path, st.body)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("step %d (%s): HTTP %d: %s", i, st.path, resp.StatusCode, body)
 		}
-		recs := tn.Acct.Records()[before:]
+		recs := drainLedger(t, &traceBuf)
 		if len(recs) != 1 {
 			t.Fatalf("step %d: %d ledger charge(s), want 1", i, len(recs))
 		}
 		want = append(want, recs)
 	}
-	if widened := want[1][0].Guarantee.Epsilon; widened <= 0 || widened >= 0.8 {
+	if widened := want[1][0].Epsilon; widened <= 0 || widened >= 0.8 {
 		t.Fatalf("widened fit charged ε=%.17g, want the remaining headroom", widened)
 	}
 	//dplint:ignore floateq the fixture must exercise a charge whose low bits differ from the quote
-	if g := want[2][0].Guarantee.Epsilon; g == 0.09 {
+	if g := want[2][0].Epsilon; g == 0.09 {
 		t.Fatalf("Gibbs density charged exactly its quote; the fixture no longer exercises recalibration")
 	}
 	access := readAccess(t, &accessBuf)
@@ -97,10 +115,11 @@ func TestUntracedAccessReportsExactCharges(t *testing.T) {
 // Each access record must report exactly its own committed charge — no
 // request may pick up the other's ε or fall back to an estimate.
 func TestSameTraceAttributesPerRequest(t *testing.T) {
-	var accessBuf bytes.Buffer
+	var accessBuf, traceBuf bytes.Buffer
 	s, ts := newTestService(t, Config{
 		Tenants:   []TenantConfig{{ID: "solo", Budget: mechanism.Guarantee{Epsilon: 1}}},
 		Learner:   LearnerSpec{Epsilon: 0.8},
+		Observer:  tracedObserver(&traceBuf),
 		AccessLog: obs.NewAccessLog(&accessBuf),
 	})
 	data := testData(13, 16, 2)
@@ -139,15 +158,15 @@ func TestSameTraceAttributesPerRequest(t *testing.T) {
 
 	tn, _ := s.Tenants().Get("solo")
 	charged := map[string]float64{} // endpoint → ε of its one ledger charge under tc
-	for _, r := range tn.Acct.Records() {
-		if r.Meta.Trace != tc.TraceID() {
+	for _, r := range drainLedger(t, &traceBuf) {
+		if r.Trace != tc.TraceID() {
 			continue
 		}
-		endpoint := map[string]string{"gibbs": "fit", "expmech": "density"}[r.Meta.Mechanism]
+		endpoint := map[string]string{"gibbs": "fit", "expmech": "density"}[r.Mechanism]
 		if _, dup := charged[endpoint]; dup || endpoint == "" {
 			t.Fatalf("unexpected charge under the shared trace: %+v", r)
 		}
-		charged[endpoint] = r.Guarantee.Epsilon
+		charged[endpoint] = r.Epsilon
 	}
 	access := readAccess(t, &accessBuf)
 	if len(access) != 3 {

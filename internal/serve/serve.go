@@ -373,9 +373,9 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, tenantID str
 
 // retryAfter estimates a 429 Retry-After hint from the tenant's measured
 // burn rate: the wall-clock ε/second the tenant has actually committed
-// since boot. The hint is the time the rejected request's quoted ε
-// represents at that velocity — "the pace at which this budget turns
-// over" — clamped to [RetryAfterSeconds, 60]. Budgets never replenish,
+// since boot, WAL-recovered history excluded. The hint is the time the
+// rejected request's quoted ε represents at that velocity — "the pace
+// at which this budget turns over" — clamped to [RetryAfterSeconds, 60]. Budgets never replenish,
 // so the hint is advisory: it matters when outstanding reservations may
 // yet release, and it backs off harder the hotter the tenant runs. Wall
 // time is confined to this response header (never a goldened surface),
@@ -390,7 +390,7 @@ func (s *Server) retryAfter(tenantID string, quotedEps float64) int {
 	if elapsed <= 0 || quotedEps <= 0 {
 		return base
 	}
-	rate := t.Acct.BasicComposition().Epsilon / elapsed
+	rate := (t.Acct.BasicComposition().Epsilon - t.recovered) / elapsed
 	if rate <= 0 {
 		return base
 	}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/mechanism"
 	"repro/internal/obs"
 	"repro/internal/rng"
+	"repro/internal/wal"
 )
 
 // testObserver builds the deterministic observer every test server
@@ -75,8 +76,9 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 }
 
 // checkBooks audits one tenant end to end: ledger-vs-accountant
-// cross-check, an NDJSON round-trip recomposing bit-identically, and no
-// leaked reservations.
+// cross-check, no leaked reservations, and — when the tenant runs a
+// write-ahead log — the WAL's commit charges recomposing bit-identically
+// to the accountant.
 func checkBooks(t *testing.T, tn *Tenant) {
 	t.Helper()
 	if err := tn.CrossCheck(); err != nil {
@@ -85,27 +87,18 @@ func checkBooks(t *testing.T, tn *Tenant) {
 	if r := tn.Acct.Reserved(); r != 0 {
 		t.Errorf("tenant %s leaked %d reservation(s)", tn.ID, r)
 	}
-	var buf bytes.Buffer
-	if err := tn.Ledger.WriteNDJSON(&buf); err != nil {
-		t.Fatalf("WriteNDJSON: %v", err)
+	if tn.wal == nil {
+		return
 	}
-	recs, err := obs.ReadLedgerNDJSON(&buf)
-	if err != nil {
-		t.Fatalf("ReadLedgerNDJSON: %v", err)
+	charges := wal.Replay(readWALRecords(t, tn.wal.Path())).Charges()
+	if len(charges) != tn.Acct.Count() {
+		t.Fatalf("tenant %s: WAL commits carry %d charge(s), accountant spent %d", tn.ID, len(charges), tn.Acct.Count())
 	}
-	if len(recs) != tn.Acct.Count() {
-		t.Fatalf("tenant %s: NDJSON has %d record(s), accountant spent %d", tn.ID, len(recs), tn.Acct.Count())
-	}
-	eps := make([]float64, len(recs))
-	del := make([]float64, len(recs))
-	for i, r := range recs {
-		eps[i], del[i] = r.Epsilon, r.Delta
-	}
-	ce, cd := obs.ComposeBasic(eps, del)
+	ce, cd := composedOf(charges)
 	g := tn.Acct.BasicComposition()
-	//dplint:ignore floateq bit-exact NDJSON-roundtrip-vs-accountant agreement is the audited property
+	//dplint:ignore floateq bit-exact WAL-vs-accountant agreement is the audited property
 	if ce != g.Epsilon || cd != g.Delta {
-		t.Errorf("tenant %s: NDJSON composes to (%.17g, %.17g), accountant to (%.17g, %.17g)",
+		t.Errorf("tenant %s: WAL composes to (%.17g, %.17g), accountant to (%.17g, %.17g)",
 			tn.ID, ce, cd, g.Epsilon, g.Delta)
 	}
 }

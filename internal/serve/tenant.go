@@ -11,6 +11,7 @@ import (
 	"repro/internal/learn"
 	"repro/internal/mechanism"
 	"repro/internal/obs"
+	"repro/internal/obsglue"
 	"repro/internal/wal"
 )
 
@@ -51,6 +52,10 @@ type Tenant struct {
 	// index, rebuilt from the WAL at recovery.
 	wal  *wal.Log
 	idem *idemStore
+	// recovered is the ε composed from the WAL at recovery (0 without
+	// one). Set once before the tenant serves traffic; the burn-rate
+	// gauge and the 429 hint measure only the ε spent since boot.
+	recovered float64
 }
 
 // Budget returns the tenant's hard (ε, δ) cap. It reads the accountant
@@ -61,21 +66,13 @@ func (t *Tenant) Budget() mechanism.Guarantee {
 	return g
 }
 
-// CrossCheck verifies the tenant's ledger against its accountant: the
-// record counts must match and the composed (ε, δ) must agree
-// bit-for-bit (both sides sum the spend multiset exactly and round
-// once, with mathx.ExactSum). A mismatch means a release escaped the
+// CrossCheck verifies the tenant's ledger against its accountant with
+// obsglue.CrossCheck: the record counts must match and the composed
+// (ε, δ) must agree bit-for-bit. A mismatch means a release escaped the
 // books — the service must never pass its audit with one.
 func (t *Tenant) CrossCheck() error {
-	if got, want := t.Ledger.Len(), t.Acct.Count(); got != want {
-		return fmt.Errorf("serve: tenant %s ledger has %d record(s), accountant spent %d", t.ID, got, want)
-	}
-	le, ld := t.Ledger.Composed()
-	g := t.Acct.BasicComposition()
-	//dplint:ignore floateq bit-exact ledger-vs-accountant agreement is the audited property
-	if le != g.Epsilon || ld != g.Delta {
-		return fmt.Errorf("serve: tenant %s ledger composes to (%.17g, %.17g), accountant to (%.17g, %.17g)",
-			t.ID, le, ld, g.Epsilon, g.Delta)
+	if err := obsglue.CrossCheck(t.Ledger, t.Acct); err != nil {
+		return fmt.Errorf("serve: tenant %s: %w", t.ID, err)
 	}
 	return nil
 }
@@ -85,17 +82,18 @@ func (t *Tenant) CrossCheck() error {
 // value is deterministic for a given request history at any worker
 // count — which the accountant rounds from its running totals in O(1),
 // however long the history. Called after every commit and once more at
-// drain. It also
-// refreshes the budget burn-rate gauge: composed ε per logical tick
-// since boot. Ticks — not wall time — keep the gauge a pure function of
-// the request history (the clock read itself is part of that history,
-// identically placed in every run), so /metrics stays goldenable; the
-// wall-clock burn estimate lives only in the 429 Retry-After header.
+// drain. It also refreshes the budget burn-rate gauge: ε composed since
+// boot per logical tick since boot (WAL-recovered history is spent
+// before the first tick, so it is not part of the rate). Ticks — not
+// wall time — keep the gauge a pure function of the request history
+// (the clock read itself is part of that history, identically placed in
+// every run), so /metrics stays goldenable; the wall-clock burn
+// estimate lives only in the 429 Retry-After header.
 func (t *Tenant) refreshSpent() {
 	g := t.Acct.BasicComposition()
 	t.spent.Set(g.Epsilon)
 	if ticks := t.observer.Now(); ticks > 0 {
-		t.burn.Set(g.Epsilon / float64(ticks))
+		t.burn.Set((g.Epsilon - t.recovered) / float64(ticks))
 	}
 }
 
@@ -258,24 +256,14 @@ func newTenant(cfg TenantConfig, sp LearnerSpec, o *obs.Observer, workers int) (
 	t.budget.Set(cfg.Budget.Epsilon)
 	t.releases = reg.Counter("dplearn_serve_tenant_releases_total",
 		"accounted releases committed by the tenant", "tenant", cfg.ID)
-	ledger, releases := t.Ledger, t.releases
+	sink, releases := obsglue.Sink(t.Ledger), t.releases
 	t.Acct.SetObserver(func(r mechanism.SpendRecord) {
 		// Runs under the accountant's lock: record and count — nothing
 		// more. The trace id stamped on the spend joins the ledger line
 		// to the request span tree; the request's own charge collector,
 		// filled by the accountant itself, carries the exact guarantee to
 		// the access log and the WAL commit record.
-		ledger.Record(obs.LedgerRecord{
-			Seq:         r.Seq,
-			Mechanism:   r.Meta.Mechanism,
-			Sensitivity: r.Meta.Sensitivity,
-			Epsilon:     r.Guarantee.Epsilon,
-			Delta:       r.Guarantee.Delta,
-			Outcomes:    r.Meta.Outcomes,
-			Duration:    r.Meta.Duration,
-			Span:        r.Meta.Span,
-			Trace:       r.Meta.Trace,
-		})
+		sink(r)
 		releases.Inc()
 	})
 	grid := learn.NewGrid(-sp.Box, sp.Box, sp.Dim, sp.GridPoints)

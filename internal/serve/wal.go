@@ -168,6 +168,7 @@ func (s *Server) attachWAL(t *Tenant, dir string) (RecoveryReport, error) {
 	rep.RestoredKeys = len(st.Outcomes)
 	rep.Epsilon = g.Epsilon
 	rep.Delta = g.Delta
+	t.recovered = g.Epsilon
 
 	mreg := s.obs.Reg()
 	appends := mreg.Counter("dplearn_wal_appends_total",

@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/faults"
 	"repro/internal/mechanism"
@@ -634,10 +637,12 @@ func TestReloadTenantsUnderLoad(t *testing.T) {
 // and a Gibbs density's recalibrated guarantee.
 func TestWALDirCreatedOnBoot(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "state", "wal")
+	var traceBuf bytes.Buffer
 	s, ts := newTestService(t, Config{
-		Tenants: walTenant(1),
-		Learner: LearnerSpec{Epsilon: 0.8},
-		WALDir:  dir,
+		Tenants:  walTenant(1),
+		Learner:  LearnerSpec{Epsilon: 0.8},
+		Observer: tracedObserver(&traceBuf),
+		WALDir:   dir,
 	})
 	data := testData(13, 16, 2)
 	for i, req := range []struct {
@@ -661,14 +666,65 @@ func TestWALDirCreatedOnBoot(t *testing.T) {
 			logged = append(logged, rec.Charges...)
 		}
 	}
-	spent := getAlpha(t, s).Acct.Records()
-	if len(logged) != len(spent) {
-		t.Fatalf("WAL commits carry %d charge(s), accountant spent %d", len(logged), len(spent))
+	spent := drainLedger(t, &traceBuf)
+	sort.Slice(spent, func(i, j int) bool { return spent[i].Seq < spent[j].Seq })
+	if len(logged) != len(spent) || len(spent) != getAlpha(t, s).Acct.Count() {
+		t.Fatalf("WAL commits carry %d charge(s), ledger %d, accountant spent %d", len(logged), len(spent), getAlpha(t, s).Acct.Count())
 	}
 	for i, r := range spent {
 		//dplint:ignore floateq each WAL charge must be the accountant's guarantee bit for bit
-		if c := logged[i]; c.Epsilon != r.Guarantee.Epsilon || c.Delta != r.Guarantee.Delta || c.Mechanism != r.Meta.Mechanism {
-			t.Errorf("charge %d: WAL %+v, accountant %+v", i, c, r)
+		if c := logged[i]; c.Epsilon != r.Epsilon || c.Delta != r.Delta || c.Mechanism != r.Mechanism {
+			t.Errorf("charge %d: WAL %+v, ledger %+v", i, c, r)
 		}
+	}
+}
+
+// TestBurnRateExcludesRecoveredHistory restarts a tenant over 1.5 ε of
+// WAL-recovered history. The burn-rate gauge and the 429 Retry-After
+// hint measure what this boot has spent: the gauge after one 0.5 ε fit
+// must equal a fresh server's after the same fit, and with nothing spent
+// since boot the hint stays at the floor however long the server has
+// been up.
+func TestBurnRateExcludesRecoveredHistory(t *testing.T) {
+	dir := t.TempDir()
+	data := testData(3, 24, 2)
+	fit := func(ts *httptest.Server, seed int64) {
+		t.Helper()
+		if resp, body := postJSON(t, ts.URL+"/v1/fit", FitRequest{Tenant: "alpha", Seed: seed, Data: data}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("fit %d: HTTP %d: %s", seed, resp.StatusCode, body)
+		}
+	}
+	burn := func(o *obs.Observer) float64 {
+		return o.Metrics.Gauge("dplearn_serve_tenant_burn_rate_epsilon_per_tick", "", "tenant", "alpha").Value()
+	}
+
+	s1, ts1 := newTestService(t, Config{Tenants: walTenant(10), WALDir: dir})
+	for seed := int64(1); seed <= 3; seed++ {
+		fit(ts1, seed)
+	}
+	ts1.Close()
+	s1.CloseWALs()
+
+	restarted := testObserver()
+	s2, ts2 := newTestService(t, Config{Tenants: walTenant(10), WALDir: dir, Observer: restarted})
+	defer s2.CloseWALs()
+	//dplint:ignore floateq three 0.5 ε fits compose to exactly 1.5
+	if got := getAlpha(t, s2).Acct.BasicComposition().Epsilon; got != 1.5 {
+		t.Fatalf("recovered ε = %.17g, want 1.5", got)
+	}
+	s2.startWall = time.Now().Add(-100 * time.Second)
+	if got := s2.retryAfter("alpha", 0.5); got != s2.cfg.RetryAfterSeconds {
+		t.Errorf("Retry-After with nothing spent since boot = %d, want the floor %d", got, s2.cfg.RetryAfterSeconds)
+	}
+	fit(ts2, 4)
+
+	fresh := testObserver()
+	s3, ts3 := newTestService(t, Config{Tenants: walTenant(10), WALDir: t.TempDir(), Observer: fresh})
+	defer s3.CloseWALs()
+	fit(ts3, 4)
+
+	//dplint:ignore floateq both servers spent the same ε over the same logical ticks since boot
+	if got, want := burn(restarted), burn(fresh); got != want || want <= 0 {
+		t.Fatalf("burn rate after restart = %.17g ε/tick, fresh server = %.17g", got, want)
 	}
 }
