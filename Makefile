@@ -41,7 +41,8 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzzing pass over the log-domain primitives, the exact
-# accumulator, the W3C traceparent parser and WAL repair (one -fuzz
+# accumulator, the W3C traceparent parser, WAL repair and the request
+# wire reader against encoding/json (one -fuzz
 # target per invocation, as `go test` requires). Override FUZZTIME for
 # longer campaigns, e.g. `make fuzz-smoke FUZZTIME=2m`.
 FUZZTIME ?= 10s
@@ -52,6 +53,7 @@ fuzz-smoke:
 	$(GO) test ./internal/mathx -run '^$$' -fuzz '^FuzzExactSum$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzTraceparent$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzWALRepair$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME)
 
 # Chaos battery: deterministic fault injection (worker panics, budget
 # denials, NaN risks, checkpoint-write failures) plus the robustness
@@ -115,9 +117,9 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable benchmark artifacts: runs the parallel-engine and
-# mechanism benchmark suites and writes BENCH_parallel.json and
-# BENCH_mechanism.json (CI uploads them). Override BENCHTIME for real
+# Machine-readable benchmark artifacts: runs the parallel-engine,
+# mechanism, lint and request-decoding benchmark suites and writes one
+# BENCH_<suite>.json each (CI uploads them). Override BENCHTIME for real
 # measurements, e.g. `make bench-json BENCHTIME=2s`.
 BENCHTIME ?= 1x
 bench-json:

@@ -13,6 +13,7 @@
 //	parallel  → ./internal/parallel  → BENCH_parallel.json
 //	mechanism → ./internal/mechanism → BENCH_mechanism.json
 //	lint      → ./internal/analysis  → BENCH_lint.json
+//	wire      → ./internal/serve     → BENCH_wire.json
 //
 // -timeout bounds the whole run; ^C or the deadline kills the in-flight
 // `go test` child, no partial artifact is written for the interrupted
@@ -38,10 +39,11 @@ var suites = map[string]string{
 	"parallel":  "./internal/parallel",
 	"mechanism": "./internal/mechanism",
 	"lint":      "./internal/analysis",
+	"wire":      "./internal/serve",
 }
 
 // suiteOrder fixes the run order (map iteration is randomized).
-var suiteOrder = []string{"parallel", "mechanism", "lint"}
+var suiteOrder = []string{"parallel", "mechanism", "lint", "wire"}
 
 func main() {
 	outDir := flag.String("out", ".", "directory for the BENCH_<suite>.json artifacts")

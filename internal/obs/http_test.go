@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -227,9 +228,18 @@ func TestServeLifecycle(t *testing.T) {
 func TestServeGracefulShutdown(t *testing.T) {
 	release := make(chan struct{})
 	inHandler := make(chan struct{})
+	// The refused-connection probe below may still reach this handler
+	// before the listener closes. Only the first arrival is the
+	// in-flight scrape; a probe returns at once, so the probe loop
+	// retries instead of blocking on release.
+	var entered sync.Once
 	mux := http.NewServeMux()
 	mux.HandleFunc("/slow", func(w http.ResponseWriter, r *http.Request) {
-		close(inHandler)
+		first := false
+		entered.Do(func() { first = true; close(inHandler) })
+		if !first {
+			return
+		}
 		<-release
 		fmt.Fprint(w, "drained-in-full")
 	})

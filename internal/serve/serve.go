@@ -404,12 +404,12 @@ func (s *Server) retryAfter(tenantID string, quotedEps float64) int {
 	return hint
 }
 
-// decode parses the JSON body into v.
-func decode(r *http.Request, v any) error {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		return fmt.Errorf("%w: %v", errBadRequest, err)
-	}
-	return nil
+// decode reads the whole body once and parses it into v: by the wire
+// reader, or by encoding/json for a body outside the reader's subset
+// (see wireread.go).
+func decode[T any, P wireRequest[T]](r *http.Request, v P) error {
+	body, err := readBody(r)
+	return decodeBody(body, err, v)
 }
 
 // tenant resolves the tenant or fails with errUnknownTenant.
